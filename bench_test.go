@@ -19,6 +19,7 @@ import (
 	"mixedclock/internal/bipartite"
 	"mixedclock/internal/clock"
 	"mixedclock/internal/core"
+	"mixedclock/internal/event"
 	"mixedclock/internal/experiment"
 	"mixedclock/internal/loadgen"
 	"mixedclock/internal/matching"
@@ -327,6 +328,46 @@ func BenchmarkOnlineReveal(b *testing.B) {
 			core.SimulateCover(order, core.Random{Rng: rng})
 		}
 	})
+}
+
+// BenchmarkCoverDiscovery measures the live tracker's slow discovery path —
+// core.SharedCover.Reveal of a never-seen (thread, object) edge under the
+// paper's Hybrid mechanism — at 1k to 1M revealed edges. Each op reveals one
+// new edge: 32 threads over an ever-growing object set, each object shared
+// by every thread. The cover is rebuilt outside the timer whenever it
+// doubles, so every op runs against a graph of between edges and 2·edges.
+// A reveal is O(1), so ns/op stays flat across the sweep; the graph's
+// adjacency and edge-set growth amortize to well under one allocation per
+// edge, so allocs/op reads 0.
+func BenchmarkCoverDiscovery(b *testing.B) {
+	const threads = 32
+	reveal := func(s *core.SharedCover, i int) {
+		s.Reveal(event.ThreadID(i%threads), event.ObjectID(i/threads))
+	}
+	for _, edges := range []int{1_000, 10_000, 100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("edges=%d", edges), func(b *testing.B) {
+			var s *core.SharedCover
+			var next int
+			build := func() {
+				s = core.NewSharedCover(core.NewCoverTracker(core.NewHybrid()))
+				for next = 0; next < edges; next++ {
+					reveal(s, next)
+				}
+			}
+			build()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if next == 2*edges {
+					b.StopTimer()
+					build()
+					b.StartTimer()
+				}
+				reveal(s, next)
+				next++
+			}
+		})
+	}
 }
 
 // BenchmarkDeltaEncoding measures the Singhal–Kshemkalyani differential

@@ -51,9 +51,12 @@
 // The tracker's hot path is sharded rather than globally locked: each
 // Thread owns its clock and record buffer, each Object's lock protects that
 // object's last-writer clock (the stripe all cross-thread causality flows
-// through), and component discovery is read-mostly. Read operations hold
-// their object's stripe shared, so reader callbacks on one object run
-// concurrently with each other; writers hold it exclusively.
+// through), and component discovery is thread-local: each Thread remembers
+// the objects it has touched, so only its first touch of an object takes a
+// lock — an O(1) reveal — and every later operation on it reads the
+// component set lock-free. Read operations hold their object's stripe
+// shared, so reader callbacks on one object run concurrently with each
+// other; writers hold it exclusively.
 //
 // The per-event cost is O(changed components), not O(clock width): commits
 // record only the delta each operation applied to its thread's clock

@@ -9,21 +9,18 @@ import (
 )
 
 // SharedCover makes a CoverTracker safe for concurrent revealers. It is the
-// component-discovery path of the live tracker (package track): many
-// goroutines observe (thread, object) pairs at once, but after a short
-// warm-up almost every pair has been seen before, so the common case must
-// not take any lock at all.
+// component-discovery path of the live tracker (package track), which knows
+// per thread which edges it has revealed (only thread t creates edges
+// (t, ·)) and so picks one of two entry points:
 //
-// Observe is the single entry point for the hot path. It answers everything
-// the §III-C update rule needs for an event: which of the two endpoints are
-// clock components (their indices) and the current clock width. The steady
-// state is served from an immutable generation — a snapshot of the revealed
-// edge set plus the component-index tables — behind one atomic pointer:
-// one load, one map probe, two slice reads, no read-modify-write on any
-// shared cache line. Only a genuinely new edge takes the mutex, runs the
-// mechanism, and publishes a rebuilt generation (revealed edges only ever
-// add components, §IV, so a reader on the previous generation is merely one
-// reveal behind — the same answer it would have gotten a moment earlier).
+//   - Lookup, for a revealed edge — the steady state: the tick plan of the
+//     §III-C update rule (both endpoints' component indices and the clock
+//     width) from an immutable generation behind one atomic pointer, with
+//     no lock and no read-modify-write on a shared cache line.
+//   - Reveal, for a first touch: CoverTracker.Reveal under the mutex, in
+//     O(1), and a new generation only if that added a component — at most
+//     width times, at O(width) each. Components are append-only (§IV), so
+//     a reader on the previous generation is merely one component behind.
 //
 // Superseded generations are immutable and safe to read forever; an
 // optional retire hook (OnRetire) hands each one to the caller so its
@@ -31,7 +28,7 @@ import (
 // vanishing silently into the garbage collector.
 type SharedCover struct {
 	// gen is the current immutable generation; never nil after
-	// NewSharedCover.
+	// NewSharedCover. It always reflects every component of ct.
 	gen atomic.Pointer[coverGen]
 	// mu serializes revealers and the read-only accessors that walk the
 	// underlying CoverTracker directly (Graph, Mechanism, Components).
@@ -42,97 +39,100 @@ type SharedCover struct {
 	retire func(old any)
 }
 
-// coverGen is one immutable snapshot of the discovery state: the revealed
-// edge set and, per endpoint ID, the component index (-1 when the endpoint
-// is not a component), plus the clock width. Readers hold it only while
-// resolving one Observe; it is never mutated after publication.
+// coverGen is one immutable snapshot of the component set: per endpoint
+// ID, the component index, plus the clock width. The tables extend only to
+// the largest component ID on each side; any ID past the end, like a -1
+// entry, is not a component, so a new thread or object never forces a
+// table to grow. Readers hold a generation only while resolving one tick
+// plan; it is never mutated after publication.
 type coverGen struct {
-	edges  map[uint64]struct{}
 	thrIdx []int
 	objIdx []int
 	width  int
 }
 
-// edgeKey packs a (thread, object) edge into one map key.
-func edgeKey(t event.ThreadID, o event.ObjectID) uint64 {
-	return uint64(uint32(t))<<32 | uint64(uint32(o))
+// plan returns the component indices of t and o (-1 when not a component)
+// and the clock width.
+func (g *coverGen) plan(t event.ThreadID, o event.ObjectID) (thrIdx, objIdx, width int) {
+	thrIdx, objIdx = -1, -1
+	if int(t) < len(g.thrIdx) {
+		thrIdx = g.thrIdx[t]
+	}
+	if int(o) < len(g.objIdx) {
+		objIdx = g.objIdx[o]
+	}
+	return thrIdx, objIdx, g.width
 }
 
 // NewSharedCover wraps ct for concurrent use. The SharedCover owns ct
 // afterwards; callers must not keep revealing through ct directly.
 func NewSharedCover(ct *CoverTracker) *SharedCover {
 	s := &SharedCover{ct: ct}
-	s.gen.Store(s.rebuildLocked())
+	s.gen.Store(s.buildLocked())
 	return s
 }
 
 // OnRetire sets the hook that receives each superseded generation (an
 // opaque immutable value) once its replacement is published. Set it before
 // the cover is shared; the hook runs on whichever goroutine revealed the
-// replacing edge, outside the cover's mutex.
+// component-adding edge, outside the cover's mutex.
 func (s *SharedCover) OnRetire(f func(old any)) { s.retire = f }
 
-// Observe reveals the edge (t, o) if it is new and returns the tick plan for
-// the event: the component indices of thread t and object o (-1 when the
-// endpoint is not a component) and the current clock width. The cover
-// invariant guarantees at least one index is non-negative for any edge the
-// mechanism has processed. The revealed-edge steady state is lock-free.
-func (s *SharedCover) Observe(t event.ThreadID, o event.ObjectID) (thrIdx, objIdx, width int) {
-	g := s.gen.Load()
-	if _, ok := g.edges[edgeKey(t, o)]; ok && int(t) < len(g.thrIdx) && int(o) < len(g.objIdx) {
-		return g.thrIdx[t], g.objIdx[o], g.width
-	}
-	return s.reveal(t, o)
+// Lookup returns the tick plan for an event on an already revealed edge
+// (t, o): the component indices of thread t and object o (-1 when the
+// endpoint is not a component) and the current clock width. Lock-free.
+// The answer is only meaningful for an edge the cover's graph already
+// holds (one it was seeded with, or one a Reveal has returned from) — the
+// cover invariant then guarantees at least one index is non-negative; for
+// any other edge use Reveal.
+func (s *SharedCover) Lookup(t event.ThreadID, o event.ObjectID) (thrIdx, objIdx, width int) {
+	return s.gen.Load().plan(t, o)
 }
 
-// reveal is Observe's slow path: run the mechanism on the new edge and
-// publish a rebuilt generation. Duplicate reveals (two goroutines racing
-// the same new edge) are harmless — Reveal coalesces them.
-func (s *SharedCover) reveal(t event.ThreadID, o event.ObjectID) (thrIdx, objIdx, width int) {
+// Reveal records the edge (t, o), choosing a component through the
+// mechanism if the edge is new and uncovered, and returns its tick plan as
+// Lookup does. Revealing an edge that is already present is harmless (it
+// adds nothing), so racing or repeated reveals of one edge coalesce.
+func (s *SharedCover) Reveal(t event.ThreadID, o event.ObjectID) (thrIdx, objIdx, width int) {
 	s.mu.Lock()
-	s.ct.Reveal(t, o)
-	old := s.gen.Load()
-	g := s.rebuildLocked()
-	s.gen.Store(g)
+	g := s.gen.Load()
+	var old *coverGen
+	if _, added := s.ct.Reveal(t, o); added {
+		old, g = g, s.buildLocked()
+		s.gen.Store(g)
+	}
 	s.mu.Unlock()
-	if s.retire != nil {
+	if old != nil && s.retire != nil {
 		s.retire(old)
 	}
-	return g.thrIdx[t], g.objIdx[o], g.width
+	return g.plan(t, o)
 }
 
-// rebuildLocked snapshots the CoverTracker into a fresh immutable
-// generation. The caller holds s.mu (or is the constructor). Rebuilds are
-// O(edges + endpoints) and happen only when the revealed graph grows — a
-// bounded number of times per epoch, not per event.
-func (s *SharedCover) rebuildLocked() *coverGen {
-	edges := s.ct.graph.EdgeList()
-	g := &coverGen{
-		edges: make(map[uint64]struct{}, len(edges)),
-		width: s.ct.comps.Len(),
-	}
+// buildLocked snapshots the component set into a fresh immutable
+// generation, in O(width + largest component ID). The caller holds s.mu
+// (or is the constructor).
+func (s *SharedCover) buildLocked() *coverGen {
+	comps := s.ct.comps.list
 	maxT, maxO := -1, -1
-	for _, e := range edges {
-		g.edges[edgeKey(event.ThreadID(e.Thread), event.ObjectID(e.Object))] = struct{}{}
-		if e.Thread > maxT {
-			maxT = e.Thread
-		}
-		if e.Object > maxO {
-			maxO = e.Object
+	for _, c := range comps {
+		if c.Side == bipartite.Threads {
+			maxT = max(maxT, c.ID)
+		} else {
+			maxO = max(maxO, c.ID)
 		}
 	}
-	g.thrIdx = make([]int, maxT+1)
-	g.objIdx = make([]int, maxO+1)
+	g := &coverGen{thrIdx: make([]int, maxT+1), objIdx: make([]int, maxO+1), width: len(comps)}
 	for i := range g.thrIdx {
 		g.thrIdx[i] = -1
-		if idx, ok := s.ct.comps.IndexOf(ThreadComponent(event.ThreadID(i))); ok {
-			g.thrIdx[i] = idx
-		}
 	}
 	for i := range g.objIdx {
 		g.objIdx[i] = -1
-		if idx, ok := s.ct.comps.IndexOf(ObjectComponent(event.ObjectID(i))); ok {
-			g.objIdx[i] = idx
+	}
+	for i, c := range comps {
+		if c.Side == bipartite.Threads {
+			g.thrIdx[c.ID] = i
+		} else {
+			g.objIdx[c.ID] = i
 		}
 	}
 	return g

@@ -30,11 +30,13 @@
 //     before or entirely after it — every operation of a batch belongs to
 //     one epoch.
 //
-// The cover is observed once per batch. Its answer can only be one reveal
-// behind a racing discovery on another thread — the same staleness any
-// single Do tolerates — and the batch's own edge is revealed by that one
-// call, so the cover invariant (at least one covered endpoint) holds for
-// every operation in the batch.
+// The cover is observed once per batch (Thread.observe: a lock-free lookup
+// if the thread revealed the edge before, one reveal otherwise). A racing
+// discovery on another thread may be adding a component the answer does
+// not show yet — the same staleness any single Do tolerates — but the
+// generation the answer came from already covers the batch's own edge, so
+// the cover invariant (at least one covered endpoint) holds for every
+// operation in the batch.
 package track
 
 import (
@@ -88,8 +90,7 @@ func (th *Thread) doBatch(o *Object, ops []event.Op, out []Stamped) {
 	// the whole batch.
 	th.rec.pin(&t.reclaim)
 	defer th.rec.unpin()
-	cover := t.cover.Load()
-	thrIdx, objIdx, width := cover.Observe(th.id, o.id)
+	thrIdx, objIdx, width := th.observe(o.id)
 	base := int(t.seq.Add(int64(len(ops)))) - len(ops)
 	for i, op := range ops {
 		out[i] = t.commitOne(th, o, op, base+i, thrIdx, objIdx, width)

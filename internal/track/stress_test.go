@@ -222,7 +222,8 @@ func TestTrackerParallelStress(t *testing.T) {
 		}(w)
 	}
 	// Concurrent snapshot readers: prefixes must always be consistent
-	// (stamps aligned with trace, no torn merges).
+	// (stamps aligned with trace, no torn merges), and under the barrier
+	// every thread's revealed bits must name edges of the cover's graph.
 	done := make(chan struct{})
 	var snapErr error
 	go func() {
@@ -231,6 +232,10 @@ func TestTrackerParallelStress(t *testing.T) {
 			trace, stamps := tr.Snapshot()
 			if trace.Len() != len(stamps) {
 				snapErr = fmt.Errorf("snapshot torn: %d events, %d stamps", trace.Len(), len(stamps))
+				return
+			}
+			if err := checkRevealedBits(tr); err != nil {
+				snapErr = err
 				return
 			}
 		}
@@ -245,6 +250,9 @@ func TestTrackerParallelStress(t *testing.T) {
 	}
 	if got, want := tr.Events(), nWorkers*opsPer; got != want {
 		t.Fatalf("Events = %d, want %d", got, want)
+	}
+	if err := checkRevealedBits(tr); err != nil {
+		t.Fatal(err)
 	}
 	trace, stamps := tr.Snapshot()
 	if err := clock.Validate(trace, stamps, "parallel-stress"); err != nil {

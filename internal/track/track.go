@@ -29,10 +29,14 @@
 //     that assigns the trace index and updates the object clock is mutually
 //     exclusive per object, so the recorded object order is a real order
 //     and cross-thread causality flows race-free through the stripe.
-//   - Read-mostly: component discovery goes through core.SharedCover, whose
-//     fast path (edge already revealed — the steady state) takes only a
-//     read lock. Only a genuinely new (thread, object) edge takes the write
-//     lock and runs the component-choice mechanism.
+//   - Thread-local discovery: only thread t ever creates edges (t, ·), so
+//     each Thread keeps its own bitset of the objects it has revealed. A
+//     commit on a revealed edge — the steady state — resolves its tick plan
+//     with a lock-free lookup on the current core.SharedCover generation.
+//     Only a first touch takes the cover's mutex for an O(1) reveal, which
+//     runs the component-choice mechanism if the edge is uncovered, and
+//     publishes a new generation only if that added a component — at most
+//     width times per epoch, however many edges are revealed.
 //   - Global: a single atomic counter assigns each operation its dense
 //     trace index. The counter is fetched while the object commit exclusion
 //     is held, so index order refines both program order and object order —
@@ -150,18 +154,21 @@
 // parks it on a limbo list, and a limbo entry runs its free function only
 // once no registered record is still pinned at or before that epoch.
 //
-// What goes through limbo: superseded SharedCover generations (cover
-// growth and the Compact swap), superseded segState snapshots (every seal,
-// compaction, retention, recovery and Close swap), and the spill files a
-// compaction or retention pass stops listing — their deletion is the one
-// free that touches the filesystem, and it runs strictly after the catalog
-// generation without them is published. This is why CompactSegments and
-// RetainSegments never take the world write lock: readers caught mid-flight
-// are either pinned (the retirement waits for them) or started after the
-// swap (they see the new list); a sealed replay that still loses its file
-// to a retirement that predates its pin retries against the fresh list
-// (stream.go). The limbo list drains opportunistically — at each retire
-// when the tracker is quiescent, and after every seal barrier.
+// What goes through limbo: superseded SharedCover generations (one per
+// component added, so at most width per epoch — a reveal that adds no
+// component publishes nothing), the SharedCover replaced at each Compact,
+// superseded segState snapshots (every seal, compaction, retention,
+// recovery and Close swap), and the spill files a compaction or retention
+// pass stops listing — their deletion is the one free that touches the
+// filesystem, and it runs strictly after the catalog generation without
+// them is published. This is why CompactSegments and RetainSegments never
+// take the world write lock: readers caught mid-flight are either pinned
+// (the retirement waits for them) or started after the swap (they see the
+// new list); a sealed replay that still loses its file to a retirement
+// that predates its pin retries against the fresh list (stream.go). The
+// limbo list drains opportunistically — at each retire when the tracker is
+// quiescent, and after every seal barrier; an in-memory tracker that never
+// seals holds its cover generations there, which is why they must be few.
 //
 // Snapshot, Seal and Compact still stop the world, but for a different
 // reason: they must observe every thread's unmerged records at one instant
@@ -638,11 +645,13 @@ func newTracker(o options) *Tracker {
 }
 
 // newCover wraps ct in a SharedCover whose superseded generations are
-// retired through the tracker's reclaimer — a reveal publishes a new
-// generation with no barrier, and the old one joins the limbo list until
-// every in-flight commit has passed it. The retirement is deferred (no
-// reclamation attempt) because reveals happen inside commits, and the
-// commit hot path must never run a free (frees may touch the filesystem).
+// retired through the tracker's reclaimer — a reveal that adds a component
+// publishes a new generation with no barrier, and the old one joins the
+// limbo list until every in-flight commit has passed it. Limbo therefore
+// holds at most one entry per component even with no seal to drain it. The
+// retirement is deferred (no reclamation attempt) because reveals happen
+// inside commits, and the commit hot path must never run a free (frees may
+// touch the filesystem).
 func (t *Tracker) newCover(ct *core.CoverTracker) *core.SharedCover {
 	s := core.NewSharedCover(ct)
 	s.OnRetire(func(old any) { t.reclaim.retireDeferred(func() { _ = old }) })
@@ -689,6 +698,39 @@ type Thread struct {
 	// skip the join entirely. Reset by Compact.
 	lastObj *Object
 	lastVer uint64
+
+	// revealed is the thread's revealed-object bitset, indexed by
+	// ObjectID: bit o set means the current cover already holds the edge
+	// (id, o), so observe resolves it with a lock-free Lookup. Only this
+	// thread ever creates edges (id, ·), so the owning goroutine maintains
+	// the set with no synchronization. The invariant survives every cover
+	// swap that exists today: Compact re-seeds from core.Analyze of the
+	// same graph, and a recovered tracker's Threads start with an empty
+	// set (a clear bit costs one Reveal that adds nothing). Any future
+	// swap that drops edges must clear these bits under the world write
+	// lock. The set costs one bit per object ID up to the largest the
+	// thread has touched, and grows only on a first touch.
+	revealed []uint64
+}
+
+// observe resolves the tick plan (component indices and clock width) for
+// th's next commit on o: a lock-free lookup when th has revealed the edge
+// before, otherwise the cover's locked Reveal, after which the edge's bit
+// is set. The caller holds the world read lock and has pinned th's
+// reclamation record, so the loaded cover cannot be swapped or retired
+// underneath it.
+func (th *Thread) observe(o event.ObjectID) (thrIdx, objIdx, width int) {
+	cover := th.t.cover.Load()
+	w, bit := int(o)>>6, uint64(1)<<(uint(o)&63)
+	if w < len(th.revealed) && th.revealed[w]&bit != 0 {
+		return cover.Lookup(th.id, o)
+	}
+	thrIdx, objIdx, width = cover.Reveal(th.id, o)
+	if w >= len(th.revealed) {
+		th.revealed = append(th.revealed, make([]uint64, w+1-len(th.revealed))...)
+	}
+	th.revealed[w] |= bit
+	return thrIdx, objIdx, width
 }
 
 // ID returns the thread's dense identifier.
@@ -818,13 +860,13 @@ func (th *Thread) Read(o *Object, fn func()) Stamped { return th.Do(o, event.OpR
 // for writes; mu shared plus cmu for reads) and the world read lock; the
 // thread's clock needs no lock (the calling goroutine owns it). The only
 // cross-thread contention left is the object stripe itself and one atomic
-// increment — the cover's steady state is a lock-free generation load.
+// increment — on an edge the thread has revealed before, the tick plan is
+// a lock-free generation load.
 func (t *Tracker) commit(th *Thread, o *Object, op event.Op) Stamped {
 	// Pin before loading any reclaimer-protected pointer (the cover
 	// generation), so a concurrent retirement waits this commit out.
 	th.rec.pin(&t.reclaim)
-	cover := t.cover.Load()
-	thrIdx, objIdx, width := cover.Observe(th.id, o.id)
+	thrIdx, objIdx, width := th.observe(o.id)
 	idx := int(t.seq.Add(1)) - 1
 	s := t.commitOne(th, o, op, idx, thrIdx, objIdx, width)
 	th.rec.unpin()
