@@ -709,7 +709,7 @@ func BenchmarkSnapshotStream(b *testing.B) {
 	build := func(events int, seal bool) *mixedclock.Tracker {
 		var opts []mixedclock.TrackerOption
 		if seal {
-			opts = append(opts, mixedclock.WithSpill(mixedclock.SpillPolicy{SealEvents: 4096}))
+			opts = append(opts, mixedclock.WithStore(mixedclock.Store{Spill: mixedclock.SpillPolicy{SealEvents: 4096}}))
 		}
 		tracker := mixedclock.NewTracker(opts...)
 		const nThreads, nObjects = 8, 32
@@ -772,7 +772,7 @@ func BenchmarkSnapshotStream(b *testing.B) {
 func BenchmarkSegmentCompact(b *testing.B) {
 	buildSealed := func(segments, perSegment int) *mixedclock.Tracker {
 		tracker := mixedclock.NewTracker(
-			mixedclock.WithSpill(mixedclock.SpillPolicy{SealEvents: perSegment}))
+			mixedclock.WithStore(mixedclock.Store{Spill: mixedclock.SpillPolicy{SealEvents: perSegment}}))
 		const nThreads, nObjects = 4, 8
 		threads := make([]*mixedclock.Thread, nThreads)
 		for i := range threads {

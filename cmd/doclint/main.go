@@ -1,4 +1,5 @@
-// Command doclint fails when an exported identifier lacks a doc comment.
+// Command doclint fails when an exported identifier lacks a doc comment or
+// is marked deprecated.
 //
 // Usage:
 //
@@ -7,12 +8,13 @@
 // Each argument is a package directory; _test.go files are skipped. For
 // every exported top-level func, method (on an exported receiver), type,
 // const and var, either the declaration or its group must carry a doc
-// comment. Offenders are listed one per line as file:line and the exit
-// status is 1.
+// comment, and no such comment may contain "Deprecated:". Offenders are
+// listed one per line as file:line and the exit status is 1.
 //
 // This is the docs gate CI runs over the public package and internal/track:
 // the documented surface is the product here, so an undocumented export is
-// a build break, not a style nit.
+// a build break, not a style nit. Superseded API is deleted, with its
+// callers moved to what replaces it, rather than kept as deprecated sugar.
 package main
 
 import (
@@ -44,13 +46,13 @@ func main() {
 		}
 	}
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "doclint: %d undocumented exported identifiers\n", bad)
+		fmt.Fprintf(os.Stderr, "doclint: %d undocumented or deprecated exported identifiers\n", bad)
 		os.Exit(1)
 	}
 }
 
 // lintDir parses one package directory and returns a sorted list of
-// "file:line: exported X is undocumented" findings.
+// "file:line: exported X is undocumented" (or "is deprecated") findings.
 func lintDir(dir string) ([]string, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
@@ -60,9 +62,9 @@ func lintDir(dir string) ([]string, error) {
 		return nil, err
 	}
 	var missing []string
-	report := func(pos token.Pos, kind, name string) {
+	report := func(pos token.Pos, kind, name, problem string) {
 		p := fset.Position(pos)
-		missing = append(missing, fmt.Sprintf("%s:%d: exported %s %s is undocumented", p.Filename, p.Line, kind, name))
+		missing = append(missing, fmt.Sprintf("%s:%d: exported %s %s %s", p.Filename, p.Line, kind, name, problem))
 	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
@@ -75,12 +77,16 @@ func lintDir(dir string) ([]string, error) {
 	return missing, nil
 }
 
-// lintDecl checks one top-level declaration, reporting each undocumented
-// exported identifier it declares.
-func lintDecl(decl ast.Decl, report func(pos token.Pos, kind, name string)) {
+// reporter records one finding: problem is "is undocumented" or "is
+// deprecated".
+type reporter func(pos token.Pos, kind, name, problem string)
+
+// lintDecl checks one top-level declaration, reporting each exported
+// identifier it declares that is undocumented or deprecated.
+func lintDecl(decl ast.Decl, report reporter) {
 	switch d := decl.(type) {
 	case *ast.FuncDecl:
-		if !d.Name.IsExported() || d.Doc != nil {
+		if !d.Name.IsExported() {
 			return
 		}
 		kind := "function"
@@ -91,31 +97,47 @@ func lintDecl(decl ast.Decl, report func(pos token.Pos, kind, name string)) {
 			}
 			kind = "method"
 		}
-		report(d.Name.Pos(), kind, d.Name.Name)
+		lintDoc(report, d.Name, kind, d.Doc)
 	case *ast.GenDecl:
 		kind := map[token.Token]string{token.TYPE: "type", token.CONST: "const", token.VAR: "var"}[d.Tok]
 		if kind == "" {
 			return // import group
 		}
+		// A group doc documents every member; a spec doc or trailing line
+		// comment documents the one spec.
 		for _, spec := range d.Specs {
 			switch s := spec.(type) {
 			case *ast.TypeSpec:
-				// A group doc documents every member; a spec doc or trailing
-				// line comment documents the one spec.
-				if s.Name.IsExported() && d.Doc == nil && s.Doc == nil && s.Comment == nil {
-					report(s.Name.Pos(), kind, s.Name.Name)
+				if s.Name.IsExported() {
+					lintDoc(report, s.Name, kind, d.Doc, s.Doc, s.Comment)
 				}
 			case *ast.ValueSpec:
-				if d.Doc != nil || s.Doc != nil || s.Comment != nil {
-					continue
-				}
 				for _, name := range s.Names {
 					if name.IsExported() {
-						report(name.Pos(), kind, name.Name)
+						lintDoc(report, name, kind, d.Doc, s.Doc, s.Comment)
 					}
 				}
 			}
 		}
+	}
+}
+
+// lintDoc reports name when none of docs is present, or when one of them
+// marks it deprecated.
+func lintDoc(report reporter, name *ast.Ident, kind string, docs ...*ast.CommentGroup) {
+	documented := false
+	for _, doc := range docs {
+		if doc == nil {
+			continue
+		}
+		documented = true
+		if strings.Contains(doc.Text(), "Deprecated:") {
+			report(name.Pos(), kind, name.Name, "is deprecated")
+			return
+		}
+	}
+	if !documented {
+		report(name.Pos(), kind, name.Name, "is undocumented")
 	}
 }
 

@@ -34,6 +34,19 @@ func (hidden) Exported() {} // unexported receiver: not surface
 func (Bare) Method() {}
 
 func (Bare) Undoc() {}
+
+// Old is documented but superseded.
+//
+// Deprecated: use Documented.
+func Old() {}
+
+// Legacy names; a deprecated group doc covers every member.
+//
+// Deprecated: use A and B.
+const (
+	OldA = 1
+	OldB = 2
+)
 `
 	if err := os.WriteFile(filepath.Join(dir, "demo.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
@@ -56,6 +69,9 @@ func (Bare) Undoc() {}
 		"exported type Bare is undocumented",
 		"exported var Loose is undocumented",
 		"exported method Undoc is undocumented",
+		"exported function Old is deprecated",
+		"exported const OldA is deprecated",
+		"exported const OldB is deprecated",
 	}
 	for _, w := range want {
 		found := false

@@ -103,6 +103,7 @@ import (
 	"mixedclock/internal/tlog"
 	"mixedclock/internal/track"
 	"mixedclock/internal/vclock"
+	"mixedclock/internal/vfs"
 )
 
 func main() {
@@ -599,12 +600,7 @@ func export(w io.Writer, tr *event.Trace, out string, b vclock.Backend, format s
 			return err
 		}
 	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	write := func() error {
+	err := writeOutput(vfs.OS, out, func(f io.Writer) error {
 		if format == "full" {
 			return tlog.WriteAll(f, tr, stamps)
 		}
@@ -620,13 +616,8 @@ func export(w io.Writer, tr *event.Trace, out string, b vclock.Backend, format s
 			return err
 		}
 		return lw.Flush()
-	}
-	if err := write(); err != nil {
-		// The delta path streams as it timestamps, so an error can leave a
-		// partial log; don't leave it lying around to be mistaken for a
-		// good one.
-		f.Close()
-		os.Remove(out)
+	})
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "wrote %d timestamped events (%d components, %s format) to %s\n",
@@ -649,7 +640,7 @@ func exportLive(w io.Writer, tr *event.Trace, out string, b vclock.Backend, form
 		return fmt.Errorf("export: unknown -format %q (want full or delta)", format)
 	}
 	tracker := track.NewTracker(track.WithBackend(b),
-		track.WithSpill(track.SpillPolicy{Dir: spillDir, SealEvents: seal}))
+		track.WithStore(track.Store{Spill: track.SpillPolicy{Dir: spillDir, SealEvents: seal}}))
 	threads := make([]*track.Thread, tr.Threads())
 	for i := range threads {
 		threads[i] = tracker.NewThread(fmt.Sprintf("T%d", i+1))
@@ -693,12 +684,7 @@ func exportLive(w io.Writer, tr *event.Trace, out string, b vclock.Backend, form
 	if err := tracker.Err(); err != nil {
 		return err
 	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	write := func() error {
+	err := writeOutput(vfs.OS, out, func(f io.Writer) error {
 		if format == "delta" {
 			return tracker.SnapshotTo(f)
 		}
@@ -707,15 +693,11 @@ func exportLive(w io.Writer, tr *event.Trace, out string, b vclock.Backend, form
 			return err
 		}
 		return lw.Flush()
-	}
-	if err := write(); err != nil {
-		// The stream writes as it decodes, so an error can leave a partial
-		// log; don't leave it lying around to be mistaken for a good one.
-		f.Close()
-		os.Remove(out)
+	})
+	if err != nil {
 		return err
 	}
-	segs := tracker.Segments()
+	segs := tracker.Catalog().Segments
 	spilled := 0
 	for _, sg := range segs {
 		if sg.Path != "" {
@@ -726,6 +708,24 @@ func exportLive(w io.Writer, tr *event.Trace, out string, b vclock.Backend, form
 		tracker.Events(), tracker.Size(), format, out)
 	fmt.Fprintf(w, "sealed %d segments (%d spilled to %s)\n", len(segs), spilled, spillDisplay(spillDir))
 	return nil
+}
+
+// writeOutput creates path on fsys, lets write fill it and closes it. On any
+// failure, the close included, it removes the partial file, so an output
+// that reports an error never leaves a log to be mistaken for a good one.
+func writeOutput(fsys vfs.FS, path string, write func(io.Writer) error) error {
+	f, err := fsys.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fsys.Remove(path)
+	}
+	return err
 }
 
 func spillDisplay(dir string) string {
@@ -901,36 +901,30 @@ func segmentsCmd(w io.Writer, args []string, out string, n int) error {
 		return nil
 	}
 
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	lw := tlog.NewDeltaWriter(f)
-	for _, ref := range refs {
-		err := withSegment(ref, func(sr *tlog.SegmentReader) error {
-			for {
-				e, v, err := sr.Next()
-				if err == io.EOF {
-					return nil
+	err = writeOutput(vfs.OS, out, func(f io.Writer) error {
+		lw := tlog.NewDeltaWriter(f)
+		for _, ref := range refs {
+			err := withSegment(ref, func(sr *tlog.SegmentReader) error {
+				for {
+					e, v, err := sr.Next()
+					if err == io.EOF {
+						return nil
+					}
+					if err != nil {
+						return err
+					}
+					if err := lw.Append(e, v); err != nil {
+						return err
+					}
 				}
-				if err != nil {
-					return err
-				}
-				if err := lw.Append(e, v); err != nil {
-					return err
-				}
+			})
+			if err != nil {
+				return err
 			}
-		})
-		if err != nil {
-			f.Close()
-			os.Remove(out)
-			return err
 		}
-	}
-	if err := lw.Flush(); err != nil {
-		f.Close()
-		os.Remove(out)
+		return lw.Flush()
+	})
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "merged %d segments (%d events) into %s\n", len(refs), total, out)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"mixedclock/internal/tlog"
 	"mixedclock/internal/track"
 	"mixedclock/internal/vclock"
+	"mixedclock/internal/vfs"
 )
 
 func writeTempTrace(t *testing.T) (string, *event.Trace) {
@@ -193,6 +195,53 @@ func TestExportInspectRoundTrip(t *testing.T) {
 	}
 	if err := inspect(&buf, "", 0); err == nil {
 		t.Error("inspect without -log accepted")
+	}
+}
+
+// TestWriteOutputRemovesOnError: export, export -live and segments -out
+// write through writeOutput, which must report a failed close as well as a
+// failed write, and leave no partial file behind after either.
+func TestWriteOutputRemovesOnError(t *testing.T) {
+	writeErr := errors.New("write failed")
+	for _, tc := range []struct {
+		name  string
+		rules []vfs.Rule
+		write error
+	}{
+		{name: "ok"},
+		{name: "write", write: writeErr},
+		{name: "close", rules: []vfs.Rule{{Ops: vfs.Ops(vfs.OpClose)}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fsys := vfs.NewFaulty(vfs.OS)
+			fsys.Script(tc.rules...)
+			out := filepath.Join(t.TempDir(), "out.mvclog")
+			err := writeOutput(fsys, out, func(w io.Writer) error {
+				if _, err := w.Write([]byte("log")); err != nil {
+					return err
+				}
+				return tc.write
+			})
+			_, statErr := os.Stat(out)
+			if tc.name == "ok" {
+				if err != nil || statErr != nil {
+					t.Fatalf("clean write: err %v, stat %v", err, statErr)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("failure reported as success")
+			}
+			if tc.write != nil && !errors.Is(err, tc.write) {
+				t.Errorf("err = %v, want the write's error", err)
+			}
+			if tc.rules != nil && !errors.Is(err, vfs.ErrInjected) {
+				t.Errorf("err = %v, want the close's error", err)
+			}
+			if !os.IsNotExist(statErr) {
+				t.Errorf("partial output left behind (stat: %v)", statErr)
+			}
+		})
 	}
 }
 

@@ -67,7 +67,7 @@
 //
 //	trace, stamps := tracker.Snapshot() // one barrier, consistent pair
 //
-// Snapshot, Trace, Stamps, Seal and Compact are stop-the-world barriers
+// Snapshot, Seal and Compact are stop-the-world barriers
 // that quiesce in-flight operations, merge the per-thread delta records,
 // and materialize their stamps; see the internal/track package
 // documentation for the full concurrency model.
@@ -115,7 +115,7 @@
 //	}))
 //
 // Sealing is invisible to every reader: Snapshot, Stamped comparisons and
-// epoch queries replay spilled segments transparently (Tracker.Segments
+// epoch queries replay spilled segments transparently (Tracker.Catalog
 // lists them; the mvc CLI's segments command inspects and merges the spill
 // files). Bulk export never materializes a vector table at all:
 //
@@ -181,8 +181,8 @@
 // reopen from the command line and prints the report.
 //
 // Store gathers every storage policy — spilling, tiered compaction,
-// retention — into one validated struct (WithSpill, WithCompaction and
-// WithRetention remain as sugar over its fields). A RetainPolicy retires
+// retention — into one validated struct, and WithStore is the one option
+// that sets it. A RetainPolicy retires
 // graduated segments, i.e. those of closed epochs, once they age past
 // MaxAge or push the directory over MaxBytes — deleting them or, with
 // Archive set, moving them aside — and replay then starts at the retention

@@ -6,19 +6,20 @@
 // Online mechanisms may only ever add clock components, so after the
 // workload shifts, the clock carries components for entities that no longer
 // matter; Tracker.Compact re-bases it on the offline optimum and starts a
-// new epoch. Independently, the recorded history grows with every event; a
-// SpillPolicy seals it into immutable delta-encoded segments — here at
-// aligned SealEvery boundaries, so segment edges land at predictable
-// indices — and spills them to disk, so the tracker holds only the live
-// tail. Frequent seals would litter the directory with tiny files;
-// WithCompaction merges adjacent small segments into larger tiers (replay
-// bytes unchanged). The catalog — both Tracker.Catalog and the catalog.json
-// the tracker maintains next to the spill files — is the stable view an
-// external log shipper polls: index ranges, epochs, sizes and content
-// hashes per segment, plus the tracker's health. Sealed history stays fully
-// readable throughout — Snapshot and the lazy Stamped vectors replay spill
-// files transparently, and SnapshotTo streams the whole run (disk and tail
-// alike) into a portable .mvclog without ever materializing a vector table.
+// new epoch. Independently, the recorded history grows with every event;
+// the Store's SpillPolicy seals it into immutable delta-encoded segments —
+// here at aligned SealEvery boundaries, so segment edges land at
+// predictable indices — and Open spills them to the run directory, so the
+// tracker holds only the live tail. Frequent seals would litter the
+// directory with tiny files; the Store's CompactPolicy merges adjacent
+// small segments into larger tiers (replay bytes unchanged). The catalog —
+// both Tracker.Catalog and the catalog.json the tracker maintains next to
+// the spill files — is the stable view an external log shipper polls:
+// index ranges, epochs, sizes and content hashes per segment, plus the
+// tracker's health. Sealed history stays fully readable throughout —
+// Snapshot and the lazy Stamped vectors replay spill files transparently,
+// and SnapshotTo streams the whole run (disk and tail alike) into a
+// portable .mvclog without ever materializing a vector table.
 package main
 
 import (
@@ -40,17 +41,22 @@ func main() {
 	}
 	defer os.RemoveAll(spillDir)
 
-	tracker := mixedclock.NewTracker(
+	tracker, err := mixedclock.Open(spillDir,
 		mixedclock.WithMechanism(mixedclock.Popularity{}),
-		// Seal at aligned 100-event boundaries and spill sealed segments to
-		// disk: the in-memory suffix is bounded however long the service
-		// runs, and segment edges land at predictable indices.
-		mixedclock.WithSpill(mixedclock.SpillPolicy{Dir: spillDir, SealEvery: 100}),
-		// Keep the spill directory tidy: whenever more than 4 segments have
-		// accumulated, merge adjacent small ones (within one epoch) into
-		// tiers of up to 64 KiB.
-		mixedclock.WithCompaction(mixedclock.CompactPolicy{MaxSegments: 4, TargetBytes: 64 << 10}),
+		mixedclock.WithStore(mixedclock.Store{
+			// Seal at aligned 100-event boundaries and spill sealed segments
+			// to disk: the in-memory suffix is bounded however long the
+			// service runs, and segment edges land at predictable indices.
+			Spill: mixedclock.SpillPolicy{SealEvery: 100},
+			// Keep the spill directory tidy: whenever more than 4 segments
+			// have accumulated, merge adjacent small ones (within one epoch)
+			// into tiers of up to 64 KiB.
+			Compact: mixedclock.CompactPolicy{MaxSegments: 4, TargetBytes: 64 << 10},
+		}),
 	)
+	if err != nil {
+		panic(err)
+	}
 
 	// Phase 1: twelve request handlers hammer two hot caches.
 	hotA := tracker.NewObject("cache-A")
@@ -118,11 +124,15 @@ func main() {
 	wg.Wait()
 	firstPhase2 := handlers[0].Write(tenants[0], nil)
 	fmt.Printf("after phase 2: %d events, clock has %d components (epoch %d)\n",
-		tracker.Events(), tracker.Size(), tracker.Epoch())
+		tracker.Events(), tracker.Size(), tracker.Stats().Epoch)
 
 	// The history is on disk, not in the heap — and tier-compacted, so the
-	// directory holds a few merged segments, not one file per seal.
-	segs := tracker.Segments()
+	// directory holds a few merged segments, not one file per seal. The
+	// catalog is what a log shipper would poll (also on disk as
+	// catalog.json next to the spill files, rewritten atomically after
+	// every seal and compaction).
+	cat := tracker.Catalog()
+	segs := cat.Segments
 	var spilledEvents int
 	var spilledBytes int64
 	for _, sg := range segs {
@@ -132,13 +142,7 @@ func main() {
 	fmt.Printf("\nsealed history, after tiered compaction: %d segments, %d of %d events on disk (%d bytes delta-encoded)\n",
 		len(segs), spilledEvents, tracker.Events(), spilledBytes)
 	fmt.Printf("first segment: epoch %d, events [%d,%d], %s\n",
-		segs[0].Epoch, segs[0].FirstIndex, segs[0].FirstIndex+segs[0].Events-1,
-		filepath.Base(segs[0].Path))
-
-	// What a log shipper would poll: the catalog (also on disk as
-	// catalog.json next to the spill files, rewritten atomically after
-	// every seal and compaction).
-	cat := tracker.Catalog()
+		segs[0].Epoch, segs[0].FirstIndex, segs[0].FirstIndex+segs[0].Events-1, segs[0].Path)
 	fmt.Printf("catalog: generation %d, %d segments, %d sealed events, healthy=%v\n",
 		cat.Generation, len(cat.Segments), cat.SealedEvents, cat.Health == "" && !cat.AutoSealDisarmed)
 	fmt.Printf("each segment ships with a content hash, e.g. %s: sha256 %s...\n",
@@ -182,4 +186,7 @@ func main() {
 		panic(err)
 	}
 	fmt.Printf("epoch boundaries in the recorded trace: %v\n", tracker.EpochStarts())
+	if err := tracker.Close(); err != nil {
+		panic(err)
+	}
 }

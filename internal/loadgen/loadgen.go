@@ -182,7 +182,7 @@ func Run(cfg Config) (*Report, error) {
 	} else {
 		if cfg.Monitor {
 			// No spill dir: seal in memory so the monitor has a stream.
-			opts = append(opts, track.WithSpill(track.SpillPolicy{SealEvents: sealEvents}))
+			opts = append(opts, track.WithStore(track.Store{Spill: track.SpillPolicy{SealEvents: sealEvents}}))
 		}
 		tr = track.NewTracker(opts...)
 	}

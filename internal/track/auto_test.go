@@ -24,8 +24,8 @@ func sliceTrace(full *event.Trace, start, end int) *event.Trace {
 // the compacted width and join shape.
 func TestAutoBackendResolvesAtCompact(t *testing.T) {
 	tr := NewTracker(WithBackend(vclock.BackendAuto))
-	if tr.Backend() != vclock.BackendFlat {
-		t.Fatalf("fresh auto tracker backend = %v, want flat", tr.Backend())
+	if tr.Stats().Backend != vclock.BackendFlat {
+		t.Fatalf("fresh auto tracker backend = %v, want flat", tr.Stats().Backend)
 	}
 
 	// A wide, causally local computation: every thread owns one object.
@@ -41,8 +41,8 @@ func TestAutoBackendResolvesAtCompact(t *testing.T) {
 	} else if size < core.AutoTreeWidth {
 		t.Fatalf("compacted width %d below threshold; workload broken", size)
 	}
-	if tr.Backend() != vclock.BackendTree {
-		t.Fatalf("wide local computation resolved to %v, want tree", tr.Backend())
+	if tr.Stats().Backend != vclock.BackendTree {
+		t.Fatalf("wide local computation resolved to %v, want tree", tr.Stats().Backend)
 	}
 
 	// The new epoch must still stamp correctly in the switched backend.
@@ -71,8 +71,8 @@ func TestAutoBackendStaysFlatWhenNarrow(t *testing.T) {
 	if _, _, err := tr.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Backend() != vclock.BackendFlat {
-		t.Fatalf("narrow computation resolved to %v, want flat", tr.Backend())
+	if tr.Stats().Backend != vclock.BackendFlat {
+		t.Fatalf("narrow computation resolved to %v, want flat", tr.Stats().Backend)
 	}
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)

@@ -14,8 +14,8 @@ import (
 // happened-before oracle. Run under -race in CI.
 func TestTrackerTreeBackend(t *testing.T) {
 	tracker := NewTracker(WithBackend(vclock.BackendTree))
-	if tracker.Backend() != vclock.BackendTree {
-		t.Fatalf("Backend = %v", tracker.Backend())
+	if tracker.Stats().Backend != vclock.BackendTree {
+		t.Fatalf("Backend = %v", tracker.Stats().Backend)
 	}
 
 	const nWorkers, nObjects, opsPerWorker = 4, 3, 25
@@ -54,7 +54,7 @@ func TestTrackerTreeBackend(t *testing.T) {
 	}
 	// Validate each epoch's stamps independently (epochs are barriers; the
 	// cross-epoch order is by construction).
-	full, stamps := tracker.Trace(), tracker.Stamps()
+	full, stamps := tracker.Snapshot()
 	starts := append(tracker.EpochStarts(), full.Len())
 	for e := 0; e+1 < len(starts); e++ {
 		seg := event.NewTrace()
@@ -92,7 +92,8 @@ func TestTrackerBackendsAgree(t *testing.T) {
 		if err := tracker.Err(); err != nil {
 			t.Fatal(err)
 		}
-		return tracker.Stamps()
+		_, stamps := tracker.Snapshot()
+		return stamps
 	}
 	flat := runScript(vclock.BackendFlat)
 	tree := runScript(vclock.BackendTree)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -138,7 +139,7 @@ func TestBatchMatchesDo(t *testing.T) {
 					optsFor := func() []Option {
 						opts := []Option{WithBackend(backend)}
 						if mode == "sealed" {
-							opts = append(opts, WithSpill(SpillPolicy{Dir: t.TempDir(), SealEvents: 75}))
+							opts = append(opts, WithStore(Store{Spill: SpillPolicy{Dir: t.TempDir(), SealEvents: 75}}))
 						}
 						return opts
 					}
@@ -173,7 +174,7 @@ func TestBatchMatchesDo(t *testing.T) {
 // contiguous, program order holds across batches, and the recorded
 // computation remains a valid clocked trace per epoch. Run under -race.
 func TestBatchRacesSeal(t *testing.T) {
-	tr := NewTracker(WithSpill(SpillPolicy{SealEvents: 64}))
+	tr := NewTracker(WithStore(Store{Spill: SpillPolicy{SealEvents: 64}}))
 	const nWorkers, nObjects, batches, batchLen = 8, 3, 40, 8
 	objects := make([]*Object, nObjects)
 	for i := range objects {
@@ -255,7 +256,7 @@ func TestBatchRacesSeal(t *testing.T) {
 // monitor must have consumed exactly the recorded computation, with a
 // census matching the final snapshot. Run under -race.
 func TestBatchOverlapsMonitor(t *testing.T) {
-	tr := NewTracker(WithSpill(SpillPolicy{Dir: t.TempDir(), SealEvents: 50}))
+	tr := NewTracker(WithStore(Store{Spill: SpillPolicy{Dir: t.TempDir(), SealEvents: 50}}))
 	m := tr.NewMonitor(MonitorPolicy{})
 	defer m.Close()
 	const nWorkers, nObjects, batches, batchLen = 6, 3, 30, 8
@@ -334,7 +335,7 @@ func TestLifecycleDoesNotBarrierCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The pass really happened: the floor moved.
-	if tr.RetainedEvents() == 0 {
+	if tr.Stats().RetainedEvents == 0 {
 		t.Fatal("retention floor never published")
 	}
 }
@@ -347,11 +348,11 @@ func TestPinHoldsRetirement(t *testing.T) {
 	dir := t.TempDir()
 	tr := buildEpochs(t, dir)
 	defer tr.Close()
-	epoch := tr.Epoch()
+	epoch := tr.Stats().Epoch
 	var graduated []string
-	for _, sg := range tr.Segments() {
+	for _, sg := range tr.Catalog().Segments {
 		if sg.Epoch < epoch {
-			graduated = append(graduated, sg.Path)
+			graduated = append(graduated, filepath.Join(dir, sg.Path))
 		}
 	}
 	if len(graduated) == 0 {

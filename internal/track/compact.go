@@ -118,13 +118,6 @@ func (t *Tracker) compactEpoch() (epoch, size int, err error) {
 	return t.epoch, seeded.Size(), nil
 }
 
-// Epoch returns the current epoch number (0 before any compaction).
-func (t *Tracker) Epoch() int {
-	t.world.RLock(0)
-	defer t.world.RUnlock(0)
-	return t.epoch
-}
-
 // EpochStarts returns, for each epoch, the index of its first event in the
 // recorded trace. Epoch 0 always starts at 0; an epoch may be empty.
 func (t *Tracker) EpochStarts() []int {

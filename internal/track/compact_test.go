@@ -115,7 +115,8 @@ func TestCompactNeverInvertsTrueOrder(t *testing.T) {
 	}
 	record(ths[2].Write(objs[0], nil))
 
-	oracle := hb.New(tr.Trace())
+	full, _ := tr.Snapshot()
+	oracle := hb.New(full)
 	for i := range stamps {
 		for j := range stamps {
 			if i == j {
@@ -145,8 +146,7 @@ func TestCompactEpochSegmentsAreValidClocks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	full := tr.Trace()
-	stamps := tr.Stamps()
+	full, stamps := tr.Snapshot()
 	starts := tr.EpochStarts()
 	for ei, start := range starts {
 		end := full.Len()
@@ -192,15 +192,15 @@ func TestEpochBookkeeping(t *testing.T) {
 	th := tr.NewThread("t")
 	o := tr.NewObject("o")
 	th.Write(o, nil) // event 0, epoch 0
-	if tr.Epoch() != 0 {
-		t.Fatalf("Epoch = %d", tr.Epoch())
+	if tr.Stats().Epoch != 0 {
+		t.Fatalf("Epoch = %d", tr.Stats().Epoch)
 	}
 	if _, _, err := tr.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	th.Write(o, nil) // event 1, epoch 1
-	if tr.Epoch() != 1 {
-		t.Fatalf("Epoch = %d", tr.Epoch())
+	if tr.Stats().Epoch != 1 {
+		t.Fatalf("Epoch = %d", tr.Stats().Epoch)
 	}
 	if got := tr.EpochStarts(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("EpochStarts = %v", got)

@@ -45,10 +45,12 @@ import (
 // tlog.PlanSegmentCompaction for the planning rules):
 //
 //   - MaxSegments is how many sealed segments the tracker tolerates. The
-//     automatic pass (WithCompaction) runs after a seal pushes the count
-//     above it; an explicit CompactSegments with MaxSegments > 0 plans
-//     nothing while the count is at or below it, and with MaxSegments <= 0
-//     compacts unconditionally.
+//     automatic pass (Store.Compact) runs after every successful seal —
+//     explicit, automatic, or at Compact — that pushes the count above it,
+//     so the zero policy never runs automatically. An explicit
+//     CompactSegments with MaxSegments > 0 plans nothing while the count
+//     is at or below it, and with MaxSegments <= 0 compacts
+//     unconditionally.
 //   - TargetBytes is the tier ceiling: a segment at or above it has
 //     graduated and is left alone, and a merged group never exceeds it.
 //     Zero (or negative) merges each epoch's run into one segment.
@@ -59,18 +61,6 @@ import (
 type CompactPolicy struct {
 	MaxSegments int
 	TargetBytes int64
-}
-
-// WithCompaction arms automatic tiered compaction: after every successful
-// seal (explicit, automatic, or at Compact) whose result exceeds
-// p.MaxSegments segments, a compaction pass rewrites small adjacent
-// segments per the policy. The zero policy (MaxSegments == 0) never runs
-// automatically. Sugar for WithStore with only the Compact field set.
-//
-// Deprecated: new code should configure storage through WithStore;
-// WithCompaction remains for compatibility.
-func WithCompaction(p CompactPolicy) Option {
-	return func(o *options) { o.store.Compact = p }
 }
 
 // maybeCompactSegments runs the armed compaction policy if the sealed

@@ -36,7 +36,7 @@ func segFiles(t *testing.T, dir string) []string {
 // and every stamp — unchanged.
 func TestCompactSegmentsReducesFiles(t *testing.T) {
 	dir := t.TempDir()
-	tr := NewTracker(WithSpill(SpillPolicy{Dir: dir, SealEvents: 2}))
+	tr := NewTracker(WithStore(Store{Spill: SpillPolicy{Dir: dir, SealEvents: 2}}))
 	th := tr.NewThread("t")
 	o1 := tr.NewObject("o1")
 	o2 := tr.NewObject("o2")
@@ -70,7 +70,7 @@ func TestCompactSegmentsReducesFiles(t *testing.T) {
 	if eliminated < 90 {
 		t.Fatalf("compaction eliminated only %d segments", eliminated)
 	}
-	segs := tr.Segments()
+	segs := tr.Catalog().Segments
 	if len(segs) > maxSegments {
 		t.Fatalf("%d segments survive compaction, want <= %d", len(segs), maxSegments)
 	}
@@ -120,12 +120,12 @@ func TestCompactSegmentsPreservesReplay(t *testing.T) {
 		for _, backend := range []vclock.Backend{vclock.BackendFlat, vclock.BackendTree} {
 			t.Run(fmt.Sprintf("%v/%v", wl, backend), func(t *testing.T) {
 				tr := NewTracker(WithBackend(backend),
-					WithSpill(SpillPolicy{Dir: t.TempDir(), SealEvents: 30}))
+					WithStore(Store{Spill: SpillPolicy{Dir: t.TempDir(), SealEvents: 30}}))
 				replayTrace(t, tr, src, src.Len()/2)
 				if err := tr.Seal(); err != nil {
 					t.Fatal(err)
 				}
-				nBefore := len(tr.Segments())
+				nBefore := len(tr.Catalog().Segments)
 				if nBefore < 4 {
 					t.Fatalf("setup sealed only %d segments", nBefore)
 				}
@@ -140,9 +140,9 @@ func TestCompactSegmentsPreservesReplay(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if eliminated != nBefore-len(tr.Segments()) {
+				if after := len(tr.Catalog().Segments); eliminated != nBefore-after {
 					t.Fatalf("eliminated %d but segment count went %d -> %d",
-						eliminated, nBefore, len(tr.Segments()))
+						eliminated, nBefore, after)
 				}
 				if eliminated == 0 {
 					t.Fatalf("compaction merged nothing out of %d segments", nBefore)
@@ -182,13 +182,13 @@ func TestCompactSegmentsPreservesReplay(t *testing.T) {
 // commit pattern, and the overshoot waits in the tail for the next boundary.
 func TestSealAligned(t *testing.T) {
 	const every = 25
-	tr := NewTracker(WithSpill(SpillPolicy{SealEvery: every}))
+	tr := NewTracker(WithStore(Store{Spill: SpillPolicy{SealEvery: every}}))
 	th := tr.NewThread("t")
 	o := tr.NewObject("o")
 	for i := 0; i < 130; i++ {
 		th.Write(o, nil)
 	}
-	segs := tr.Segments()
+	segs := tr.Catalog().Segments
 	if len(segs) == 0 {
 		t.Fatal("aligned sealing sealed nothing")
 	}
@@ -223,7 +223,7 @@ func TestSealAligned(t *testing.T) {
 // the interval still get sealed (and thus shipped), without any event-count
 // trigger firing.
 func TestSealInterval(t *testing.T) {
-	tr := NewTracker(WithSpill(SpillPolicy{SealInterval: time.Millisecond}))
+	tr := NewTracker(WithStore(Store{Spill: SpillPolicy{SealInterval: time.Millisecond}}))
 	th := tr.NewThread("t")
 	o := tr.NewObject("o")
 	for i := 0; i < 4; i++ {
@@ -231,7 +231,7 @@ func TestSealInterval(t *testing.T) {
 		time.Sleep(3 * time.Millisecond)
 		th.Write(o, nil)
 	}
-	segs := tr.Segments()
+	segs := tr.Catalog().Segments
 	if len(segs) < 2 {
 		t.Fatalf("wall-time sealing produced %d segments over 8 slow commits", len(segs))
 	}
@@ -240,13 +240,13 @@ func TestSealInterval(t *testing.T) {
 	}
 }
 
-// TestCatalog pins the shipper contract: the catalog matches Segments entry
-// for entry, validates, carries content hashes that match the spill files,
-// and the published catalog.json is byte-level readable, relative-path
-// addressed, and regenerated on compaction.
+// TestCatalog pins the shipper contract: the catalog matches the sealed
+// history entry for entry, validates, carries content hashes that match the
+// spill files, and the published catalog.json is byte-level readable,
+// relative-path addressed, and regenerated on compaction.
 func TestCatalog(t *testing.T) {
 	dir := t.TempDir()
-	tr := NewTracker(WithSpill(SpillPolicy{Dir: dir, SealEvents: 10}))
+	tr := NewTracker(WithStore(Store{Spill: SpillPolicy{Dir: dir, SealEvents: 10}}))
 	th := tr.NewThread("t")
 	o := tr.NewObject("o")
 	for i := 0; i < 55; i++ {
@@ -256,14 +256,14 @@ func TestCatalog(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	segs := tr.Segments()
+	segs := tr.hist.Load().segs
 	if len(c.Segments) != len(segs) || len(segs) < 4 {
 		t.Fatalf("catalog lists %d segments, tracker has %d", len(c.Segments), len(segs))
 	}
 	for i, cs := range c.Segments {
 		sg := segs[i]
-		if cs.Epoch != sg.Epoch || cs.FirstIndex != sg.FirstIndex || cs.Events != sg.Events ||
-			cs.Bytes != sg.Bytes || cs.SHA256 != sg.SHA256 {
+		if cs.Epoch != sg.meta.Epoch || cs.FirstIndex != sg.meta.FirstIndex || cs.Events != sg.meta.Count ||
+			cs.Bytes != sg.size || cs.SHA256 != sg.sha {
 			t.Fatalf("catalog segment %d %+v does not match %+v", i, cs, sg)
 		}
 		// Paths are relative to the spill dir, and the hash is the file's.
@@ -332,7 +332,7 @@ func TestCatalogHealth(t *testing.T) {
 	if err := os.WriteFile(blocked, []byte("in the way"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracker(WithSpill(SpillPolicy{Dir: blocked, SealEvents: 10}))
+	tr := NewTracker(WithStore(Store{Spill: SpillPolicy{Dir: blocked, SealEvents: 10}}))
 	th := tr.NewThread("t")
 	o := tr.NewObject("o")
 	for i := 0; i < 30; i++ {
@@ -447,10 +447,10 @@ func TestStreamTailOverlapsCommits(t *testing.T) {
 // stream's retry against the merged replacement must be invisible. Run
 // under -race and -count in CI.
 func TestStreamRacesSegmentCompact(t *testing.T) {
-	tr := NewTracker(
-		WithSpill(SpillPolicy{Dir: t.TempDir(), SealEvents: 24}),
-		WithCompaction(CompactPolicy{MaxSegments: 4}),
-	)
+	tr := NewTracker(WithStore(Store{
+		Spill:   SpillPolicy{Dir: t.TempDir(), SealEvents: 24},
+		Compact: CompactPolicy{MaxSegments: 4},
+	}))
 	const nWorkers, nObjects, opsPer, rounds = 8, 5, 250, 8
 	objects := make([]*Object, nObjects)
 	for i := range objects {

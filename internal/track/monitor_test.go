@@ -53,7 +53,7 @@ func TestMonitorMatchesOffline(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/%v", wl, backend), func(t *testing.T) {
 				tr := NewTracker(
 					WithBackend(backend),
-					WithSpill(SpillPolicy{Dir: t.TempDir(), SealEvents: 75}),
+					WithStore(Store{Spill: SpillPolicy{Dir: t.TempDir(), SealEvents: 75}}),
 				)
 				m := tr.NewMonitor(MonitorPolicy{})
 				m.WatchPossibly("both-odd", oddPred)
@@ -178,7 +178,7 @@ func TestMonitorWatchOrder(t *testing.T) {
 // after a final Seal+Sync the monitor has evaluated every committed record
 // with in-range provenance. Run under -race and -count in CI.
 func TestMonitorOverlapsCommits(t *testing.T) {
-	tr := NewTracker(WithSpill(SpillPolicy{Dir: t.TempDir(), SealEvents: 64}))
+	tr := NewTracker(WithStore(Store{Spill: SpillPolicy{Dir: t.TempDir(), SealEvents: 64}}))
 	const nWorkers, nObjects, opsPer = 6, 4, 300
 	objects := make([]*Object, nObjects)
 	for i := range objects {

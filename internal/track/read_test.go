@@ -44,7 +44,8 @@ func TestReaderCallbacksOverlap(t *testing.T) {
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if err := clock.Validate(tr.Trace(), tr.Stamps(), "overlapping-reads"); err != nil {
+	full, stamps := tr.Snapshot()
+	if err := clock.Validate(full, stamps, "overlapping-reads"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -145,7 +146,8 @@ func TestFastPathMatchesSlowPath(t *testing.T) {
 		if err := tr.Err(); err != nil {
 			t.Fatal(err)
 		}
-		return tr.Stamps()
+		_, stamps := tr.Snapshot()
+		return stamps
 	}
 	flat := runScript(vclock.BackendFlat)
 	tree := runScript(vclock.BackendTree)
@@ -198,7 +200,7 @@ func TestReadHeavyParallelValid(t *testing.T) {
 }
 
 // TestLazyStampMaterialization pins the Stamped contract after the delta
-// rework: Vector() reconstructs the exact stamp (matching Stamps()), copies
+// rework: Vector() reconstructs the exact stamp (matching Snapshot()), copies
 // are independent of tracker internals, and materialization works from
 // inside a Do callback and across compactions.
 func TestLazyStampMaterialization(t *testing.T) {
@@ -210,7 +212,7 @@ func TestLazyStampMaterialization(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		collected = append(collected, th.Write(o, nil))
 	}
-	stamps := tr.Stamps()
+	_, stamps := tr.Snapshot()
 	for i, s := range collected {
 		if got := s.Vector(); !got.Equal(stamps[i]) {
 			t.Fatalf("stamp %d: lazy %v, merged %v", i, got, stamps[i])
@@ -222,7 +224,7 @@ func TestLazyStampMaterialization(t *testing.T) {
 	// Mutating a returned vector must not corrupt the tracker's history.
 	v := collected[0].Vector()
 	v[0] = 999
-	if tr.Stamps()[0].At(0) == 999 || collected[0].Vector().At(0) == 999 {
+	if _, again := tr.Snapshot(); again[0].At(0) == 999 || collected[0].Vector().At(0) == 999 {
 		t.Fatal("Vector() leaked shared storage")
 	}
 	// Materialization inside a callback takes the same barrier Snapshot

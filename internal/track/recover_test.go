@@ -64,7 +64,7 @@ func TestRecoverRoundTrip(t *testing.T) {
 			th.Write(objects[i%len(objects)], nil)
 		}
 	}
-	wantEpoch := tr.Epoch()
+	wantEpoch := tr.Stats().Epoch
 	// The last pre-crash sealed stamp of t0 — recovery must rebuild t0's
 	// clock to dominate it.
 	lastSealed := threads[0].Write(objects[0], nil).Vector()
@@ -94,8 +94,8 @@ func TestRecoverRoundTrip(t *testing.T) {
 	if ri.Events != sealedEvents {
 		t.Errorf("recovered %d events, want %d", ri.Events, sealedEvents)
 	}
-	if re.Epoch() != wantEpoch {
-		t.Errorf("recovered epoch %d, want %d", re.Epoch(), wantEpoch)
+	if re.Stats().Epoch != wantEpoch {
+		t.Errorf("recovered epoch %d, want %d", re.Stats().Epoch, wantEpoch)
 	}
 	if len(ri.Quarantined) != 0 {
 		t.Errorf("clean catalog quarantined %v", ri.Quarantined)
@@ -221,7 +221,7 @@ func TestRecoverOrphanSegment(t *testing.T) {
 	if err := tr.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	n, epoch := tr.Events(), tr.Epoch()
+	n, epoch := tr.Events(), tr.Stats().Epoch
 	want := snapshotBytes(t, tr)
 	// Forge the orphan: a valid-looking segment file the catalog never saw.
 	orphan := filepath.Join(dir, tlog.SegmentFileName(tlog.SegmentMeta{FirstIndex: n, Count: 5}))
@@ -238,8 +238,8 @@ func TestRecoverOrphanSegment(t *testing.T) {
 	if len(ri.Quarantined) != 1 || !strings.HasSuffix(ri.Quarantined[0], tlog.QuarantineSuffix) {
 		t.Fatalf("Quarantined = %v, want the one orphan", ri.Quarantined)
 	}
-	if re.Epoch() != epoch || ri.Events != n {
-		t.Errorf("orphan forced epoch %d events %d, want mode A (%d, %d)", re.Epoch(), ri.Events, epoch, n)
+	if re.Stats().Epoch != epoch || ri.Events != n {
+		t.Errorf("orphan forced epoch %d events %d, want mode A (%d, %d)", re.Stats().Epoch, ri.Events, epoch, n)
 	}
 	if re.Err() == nil {
 		t.Error("quarantine not surfaced through Err/health")
@@ -273,7 +273,7 @@ func testRecoverDamagedTail(t *testing.T, damage func([]byte) []byte) {
 		t.Fatal(err)
 	}
 	firstEnd := tr.Events()
-	epoch := tr.Epoch()
+	epoch := tr.Stats().Epoch
 	want := snapshotBytes(t, tr)
 	threads, objects := tr.Threads(), tr.Objects()
 	for i, th := range threads {
@@ -282,16 +282,16 @@ func testRecoverDamagedTail(t *testing.T, damage func([]byte) []byte) {
 	if err := tr.Seal(); err != nil { // second segment — the tail to damage
 		t.Fatal(err)
 	}
-	segs := tr.Segments()
+	segs := tr.Catalog().Segments
 	if len(segs) < 2 {
 		t.Fatalf("want >= 2 segments, have %d", len(segs))
 	}
-	last := segs[len(segs)-1]
-	data, err := os.ReadFile(last.Path)
+	last := filepath.Join(dir, segs[len(segs)-1].Path)
+	data, err := os.ReadFile(last)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(last.Path, damage(data), 0o666); err != nil {
+	if err := os.WriteFile(last, damage(data), 0o666); err != nil {
 		t.Fatal(err)
 	}
 
@@ -307,8 +307,8 @@ func testRecoverDamagedTail(t *testing.T, damage func([]byte) []byte) {
 	if ri.Events != firstEnd {
 		t.Errorf("recovered %d events, want the intact prefix %d", ri.Events, firstEnd)
 	}
-	if re.Epoch() != epoch+1 {
-		t.Errorf("damaged tail resumed epoch %d, want fresh epoch %d", re.Epoch(), epoch+1)
+	if re.Stats().Epoch != epoch+1 {
+		t.Errorf("damaged tail resumed epoch %d, want fresh epoch %d", re.Stats().Epoch, epoch+1)
 	}
 	if re.Err() == nil {
 		t.Error("damage not surfaced through Err/health")
@@ -420,11 +420,11 @@ func TestRecoverMovedDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := snapshotBytes(t, tr)
-	// Segments() must report paths under the original dir (a joined path,
-	// not a bare name).
-	for _, sg := range tr.Segments() {
-		if !filepath.IsAbs(sg.Path) && !strings.HasPrefix(sg.Path, dir) {
-			t.Errorf("Segments path %q not under %q", sg.Path, dir)
+	// The catalog must address segments relative to the spill dir (a bare
+	// name, not a joined path), or the moved copy would read the original.
+	for _, sg := range tr.Catalog().Segments {
+		if filepath.IsAbs(sg.Path) || strings.HasPrefix(sg.Path, dir) {
+			t.Errorf("catalog path %q not relative to %q", sg.Path, dir)
 		}
 	}
 	if err := tr.Close(); err != nil {
@@ -467,11 +467,11 @@ func TestOpenValidatesOptions(t *testing.T) {
 	if _, err := Open(t.TempDir(), WithStore(Store{Spill: SpillPolicy{SealEvents: -1}})); err == nil {
 		t.Error("Open accepted a negative SealEvents")
 	}
-	if _, err := Open(t.TempDir(), WithRetention(RetainPolicy{MaxBytes: -1})); err == nil {
+	if _, err := Open(t.TempDir(), WithStore(Store{Retain: RetainPolicy{MaxBytes: -1}})); err == nil {
 		t.Error("Open accepted a negative RetainPolicy.MaxBytes")
 	}
-	if _, err := Open(t.TempDir(), WithSpill(SpillPolicy{Dir: "/somewhere/else"})); err == nil {
-		t.Error("Open accepted a conflicting WithSpill directory")
+	if _, err := Open(t.TempDir(), WithStore(Store{Spill: SpillPolicy{Dir: "/somewhere/else"}})); err == nil {
+		t.Error("Open accepted a conflicting Store.Spill.Dir")
 	}
 	dir := t.TempDir()
 	if _, err := Open(dir, WithStore(Store{Retain: RetainPolicy{MaxBytes: 1, Archive: dir}})); err == nil {

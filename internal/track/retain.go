@@ -44,13 +44,6 @@ type RetainPolicy struct {
 // enabled reports whether the policy can ever retire anything.
 func (p RetainPolicy) enabled() bool { return p.MaxAge > 0 || p.MaxBytes > 0 }
 
-// WithRetention arms automatic retention: after every successful seal (and
-// the compaction pass, if any), segments the policy marks as expired are
-// retired. Sugar for WithStore with only the Retain field set.
-func WithRetention(p RetainPolicy) Option {
-	return func(o *options) { o.store.Retain = p }
-}
-
 // maybeRetainSegments runs the armed retention policy, reporting whether a
 // pass retired anything (and thus already published the catalog).
 func (t *Tracker) maybeRetainSegments() bool {

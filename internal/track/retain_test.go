@@ -48,8 +48,8 @@ func TestRetainGraduatedOnly(t *testing.T) {
 	dir := t.TempDir()
 	tr := buildEpochs(t, dir)
 	defer tr.Close()
-	segsBefore := tr.Segments()
-	epoch := tr.Epoch()
+	segsBefore := tr.Catalog().Segments
+	epoch := tr.Stats().Epoch
 	var graduated int
 	var floor int
 	for _, sg := range segsBefore {
@@ -69,11 +69,11 @@ func TestRetainGraduatedOnly(t *testing.T) {
 	if n != graduated {
 		t.Fatalf("retired %d segments, want all %d graduated ones", n, graduated)
 	}
-	if got := tr.RetainedEvents(); got != floor {
+	if got := tr.Stats().RetainedEvents; got != floor {
 		t.Errorf("RetainedEvents = %d, want %d", got, floor)
 	}
 	for _, sg := range segsBefore {
-		_, err := os.Stat(sg.Path)
+		_, err := os.Stat(filepath.Join(dir, sg.Path))
 		if sg.Epoch < epoch && !os.IsNotExist(err) {
 			t.Errorf("graduated segment %s not deleted", sg.Path)
 		}
@@ -100,7 +100,7 @@ func TestRetainGraduatedOnly(t *testing.T) {
 	}
 	// Replay starts at the floor; stamps below it are gone.
 	tr2 := tr // same tracker: Snapshot must deliver only [floor, end)
-	trace := tr2.Trace()
+	trace, _ := tr2.Snapshot()
 	if want := tr.Events() - floor; trace.Len() != want {
 		t.Errorf("post-retention trace holds %d events, want %d", trace.Len(), want)
 	}
@@ -171,8 +171,8 @@ func TestRetainArchive(t *testing.T) {
 	tr := buildEpochs(t, dir)
 	defer tr.Close()
 	var names []string
-	epoch := tr.Epoch()
-	for _, sg := range tr.Segments() {
+	epoch := tr.Stats().Epoch
+	for _, sg := range tr.Catalog().Segments {
 		if sg.Epoch < epoch {
 			names = append(names, filepath.Base(sg.Path))
 		}
@@ -202,7 +202,7 @@ func TestRetainThenReopen(t *testing.T) {
 	if _, err := tr.RetainSegments(RetainPolicy{MaxBytes: 1}); err != nil {
 		t.Fatal(err)
 	}
-	floor := tr.RetainedEvents()
+	floor := tr.Stats().RetainedEvents
 	events := tr.Events()
 	var want bytes.Buffer
 	if err := tr.SnapshotTo(&want); err != nil {
@@ -263,7 +263,7 @@ func TestAutoRetention(t *testing.T) {
 	if err := tr.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.RetainedEvents(); got != 10 {
+	if got := tr.Stats().RetainedEvents; got != 10 {
 		t.Errorf("auto retention floor %d, want 10", got)
 	}
 }

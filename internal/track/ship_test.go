@@ -118,13 +118,13 @@ func TestShipperVerifiesCopies(t *testing.T) {
 	if err := tr.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	seg := tr.Segments()[0]
-	data, err := os.ReadFile(seg.Path)
+	seg := filepath.Join(src, tr.Catalog().Segments[0].Path)
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)-1] ^= 1
-	if err := os.WriteFile(seg.Path, data, 0o666); err != nil {
+	if err := os.WriteFile(seg, data, 0o666); err != nil {
 		t.Fatal(err)
 	}
 	sh := &Shipper{Src: src, Dst: t.TempDir()}

@@ -1,14 +1,13 @@
 // Tracker statistics: the one-call summary load generators and operational
-// dashboards poll. Everything here is readable lock-free or under the short
-// shard read lock the individual accessors already take — Stats never stalls
-// commits (but, like Epoch, it is not for use inside a Do callback).
+// dashboards poll. Everything here is readable lock-free or under one short
+// shard read lock — Stats never stalls commits.
 package track
 
 import "mixedclock/internal/vclock"
 
 // TrackerStats is a point-in-time summary of a tracker's clock and storage
-// lifecycle. The first block is current state (what the individual accessors
-// Events, Size, Epoch, Segments report, gathered in one call); the counters
+// lifecycle. The first block is current state (Events and Size plus the
+// epoch, backend and sealed-history shape, gathered in one call); the counters
 // in the second block are cumulative over the tracker's lifetime — they only
 // grow, across epochs and compaction passes, so two snapshots subtract into
 // rates. cmd/loadgen prints one of these after every run.
@@ -46,9 +45,11 @@ type TrackerStats struct {
 // internally consistent for the sealed-history fields (they come from one
 // immutable hist value); Events and Width are independent atomic loads, so
 // under concurrent commits they may run slightly ahead. Stats never blocks
-// commits, but it takes the same short shard read lock Epoch does, so don't
-// call it from inside a Do callback.
+// commits; Epoch and Backend are read under one short shard read lock.
 func (t *Tracker) Stats() TrackerStats {
+	t.world.RLock(0)
+	epoch, backend := t.epoch, t.backend
+	t.world.RUnlock(0)
 	st := t.hist.Load()
 	var spilled int64
 	for _, sg := range st.segs {
@@ -61,8 +62,8 @@ func (t *Tracker) Stats() TrackerStats {
 		SealedEvents:      int(t.sealed.Load()),
 		RetainedEvents:    st.retained,
 		Width:             t.Size(),
-		Backend:           t.Backend(),
-		Epoch:             t.Epoch(),
+		Backend:           backend,
+		Epoch:             epoch,
 		Segments:          len(st.segs),
 		SpilledBytes:      spilled,
 		CatalogGen:        st.gen,

@@ -2,9 +2,8 @@
 // the durability machinery.
 //
 //   - Store gathers every storage policy (spilling, tiered compaction,
-//     retention) into one validated struct; WithStore is the canonical
-//     option, and WithSpill/WithCompaction/WithRetention remain as thin
-//     wrappers over its fields.
+//     retention) into one validated struct; WithStore is the one storage
+//     option.
 //   - Open(dir, opts...) brackets the start of a run: an empty or absent
 //     directory starts fresh, an existing one is recovered (recover.go) —
 //     hashes verified, clocks rebuilt, a torn tail quarantined — and
@@ -118,7 +117,7 @@ func WithStore(s Store) Option {
 //     the unsealed (or unpublished) suffix is lost.
 //
 // Open validates its options (unlike NewTracker): an invalid Store, or a
-// WithSpill directory conflicting with dir, is an error. An empty dir is
+// Store.Spill.Dir conflicting with dir, is an error. An empty dir is
 // allowed and means an in-memory tracker, for symmetry.
 func Open(dir string, opts ...Option) (*Tracker, error) {
 	o := defaultOptions()
@@ -130,7 +129,7 @@ func Open(dir string, opts ...Option) (*Tracker, error) {
 	}
 	if dir != "" {
 		if o.store.Spill.Dir != "" && o.store.Spill.Dir != dir {
-			return nil, fmt.Errorf("track: opening %q: WithSpill names a different directory %q", dir, o.store.Spill.Dir)
+			return nil, fmt.Errorf("track: opening %q: the store's spill directory is %q", dir, o.store.Spill.Dir)
 		}
 		o.store.Spill.Dir = dir
 	}

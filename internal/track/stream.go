@@ -67,16 +67,6 @@ type SpillPolicy struct {
 	Probe time.Duration
 }
 
-// WithSpill sets the tracker's spill policy — sugar for WithStore with only
-// the Spill field set (the other store policies keep their prior values).
-//
-// Deprecated: new code should configure storage through WithStore (and open
-// durable runs with Open, which validates the policies); WithSpill remains
-// for compatibility.
-func WithSpill(p SpillPolicy) Option {
-	return func(o *options) { o.store.Spill = p }
-}
-
 // autoSealDue is the cheap post-commit check: committed and sealedUpTo are
 // the tracker's event and sealed counters, lastSealNano the last successful
 // seal time.
@@ -432,41 +422,6 @@ func (t *Tracker) sealedStamp(idx int) (vclock.Vector, error) {
 	}
 }
 
-// SegmentInfo describes one sealed segment for inspection.
-type SegmentInfo struct {
-	// Epoch the segment's records belong to (a segment never spans one).
-	Epoch int
-	// FirstIndex is the global trace index of the segment's first record;
-	// Events is how many records it holds.
-	FirstIndex int
-	Events     int
-	// Bytes is the encoded container size; Path is the spill file, empty
-	// while the segment is held in memory.
-	Bytes int64
-	Path  string
-	// SHA256 is the hex content hash of the encoded container — what the
-	// catalog advertises to shippers.
-	SHA256 string
-}
-
-// Segments lists the sealed history, oldest first. Lock-free — it reads one
-// immutable snapshot, so it is safe even inside a Do callback.
-func (t *Tracker) Segments() []SegmentInfo {
-	segs := t.hist.Load().segs
-	out := make([]SegmentInfo, len(segs))
-	for i, sg := range segs {
-		out[i] = SegmentInfo{
-			Epoch:      sg.meta.Epoch,
-			FirstIndex: sg.meta.FirstIndex,
-			Events:     sg.meta.Count,
-			Bytes:      sg.size,
-			Path:       sg.path(),
-			SHA256:     sg.sha,
-		}
-	}
-	return out
-}
-
 // StampSink consumes a timestamped computation in trace order, one record
 // per call: the event (with its global index), the epoch it was recorded
 // in, and its full stamp at the clock width of that moment. The vector is
@@ -517,7 +472,7 @@ func (t *Tracker) StreamFrom(from int, sink StampSink) error {
 	// sealed segments forever; whatever remains after the last round is
 	// picked up by the freeze, which guarantees termination.
 	delivered := from
-	if r := t.RetainedEvents(); delivered < r {
+	if r := t.hist.Load().retained; delivered < r {
 		delivered = r
 	}
 	for round := 0; round < 4; round++ {
@@ -678,22 +633,6 @@ type collectSink struct {
 
 func (c *collectSink) ConsumeStamp(e event.Event, _ int, v vclock.Vector) error {
 	c.trace.AppendEvent(e)
-	c.stamps = append(c.stamps, v.Clone())
-	return nil
-}
-
-// traceSink keeps only the events — the sink behind Trace.
-type traceSink struct{ trace *event.Trace }
-
-func (c *traceSink) ConsumeStamp(e event.Event, _ int, _ vclock.Vector) error {
-	c.trace.AppendEvent(e)
-	return nil
-}
-
-// stampsSink keeps only the stamps — the sink behind Stamps.
-type stampsSink struct{ stamps []vclock.Vector }
-
-func (c *stampsSink) ConsumeStamp(_ event.Event, _ int, v vclock.Vector) error {
 	c.stamps = append(c.stamps, v.Clone())
 	return nil
 }

@@ -63,7 +63,7 @@ func TestSnapshotToMatchesWriteAllDelta(t *testing.T) {
 					opts := []Option{WithBackend(backend)}
 					compactAt := -1
 					if mode == "sealed" {
-						opts = append(opts, WithSpill(SpillPolicy{Dir: t.TempDir(), SealEvents: 75}))
+						opts = append(opts, WithStore(Store{Spill: SpillPolicy{Dir: t.TempDir(), SealEvents: 75}}))
 						compactAt = src.Len() / 2
 					}
 					tr := NewTracker(opts...)
@@ -119,13 +119,13 @@ func TestSealPreservesSemantics(t *testing.T) {
 	}
 	plain := NewTracker()
 	replayTrace(t, plain, src, 130)
-	sealing := NewTracker(WithSpill(SpillPolicy{SealEvents: 40}))
+	sealing := NewTracker(WithStore(Store{Spill: SpillPolicy{SealEvents: 40}}))
 	replayTrace(t, sealing, src, 130)
 	if err := sealing.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	if len(sealing.Segments()) < 2 {
-		t.Fatalf("sealing tracker produced %d segments", len(sealing.Segments()))
+	if n := len(sealing.Catalog().Segments); n < 2 {
+		t.Fatalf("sealing tracker produced %d segments", n)
 	}
 
 	pTr, pStamps := plain.Snapshot()
@@ -154,7 +154,7 @@ func TestSealPreservesSemantics(t *testing.T) {
 // file.
 func TestSpillBoundsAndRestores(t *testing.T) {
 	dir := t.TempDir()
-	tr := NewTracker(WithSpill(SpillPolicy{Dir: dir, SealEvents: 50}))
+	tr := NewTracker(WithStore(Store{Spill: SpillPolicy{Dir: dir, SealEvents: 50}}))
 	a := tr.NewThread("a")
 	b := tr.NewThread("b")
 	x := tr.NewObject("x")
@@ -176,7 +176,7 @@ func TestSpillBoundsAndRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	segs := tr.Segments()
+	segs := tr.Catalog().Segments
 	if len(segs) < 4 {
 		t.Fatalf("only %d segments after %d events at SealEvents=50", len(segs), total)
 	}
@@ -185,7 +185,7 @@ func TestSpillBoundsAndRestores(t *testing.T) {
 		if sg.Path == "" {
 			t.Fatalf("segment %d not spilled: %+v", i, sg)
 		}
-		if fi, err := os.Stat(sg.Path); err != nil || fi.Size() != sg.Bytes {
+		if fi, err := os.Stat(filepath.Join(dir, sg.Path)); err != nil || fi.Size() != sg.Bytes {
 			t.Fatalf("segment file %q: err=%v", sg.Path, err)
 		}
 		if sg.FirstIndex != covered {
@@ -236,7 +236,7 @@ func TestAutoSealFailureDisarms(t *testing.T) {
 	if err := os.WriteFile(blocked, []byte("in the way"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracker(WithSpill(SpillPolicy{Dir: blocked, SealEvents: 10}))
+	tr := NewTracker(WithStore(Store{Spill: SpillPolicy{Dir: blocked, SealEvents: 10}}))
 	th := tr.NewThread("t")
 	o := tr.NewObject("o")
 	for i := 0; i < 50; i++ {
@@ -248,8 +248,8 @@ func TestAutoSealFailureDisarms(t *testing.T) {
 	if !tr.sealBroken.Load() {
 		t.Fatal("failing auto-seal did not disarm the policy")
 	}
-	if len(tr.Segments()) != 0 {
-		t.Fatalf("segments appeared despite failing spill: %+v", tr.Segments())
+	if segs := tr.Catalog().Segments; len(segs) != 0 {
+		t.Fatalf("segments appeared despite failing spill: %+v", segs)
 	}
 	// History is intact in memory.
 	full, stamps := tr.Snapshot()
@@ -272,7 +272,7 @@ func TestAutoSealFailureDisarms(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		th.Write(o, nil)
 	}
-	if segs := tr.Segments(); len(segs) < 2 {
+	if segs := tr.Catalog().Segments; len(segs) < 2 {
 		t.Fatalf("auto-sealing did not resume after repair: %+v", segs)
 	}
 }
@@ -289,11 +289,11 @@ func TestSealedLazyStamp(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		collected = append(collected, th.Write([]*Object{o1, o2}[i%2], nil))
 	}
-	stamps := tr.Stamps() // materialize the reference table first
+	_, stamps := tr.Snapshot() // materialize the reference table first
 	if _, _, err := tr.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if segs := tr.Segments(); len(segs) != 1 || segs[0].Path != "" || segs[0].Events != 20 {
+	if segs := tr.Catalog().Segments; len(segs) != 1 || segs[0].Path != "" || segs[0].Events != 20 {
 		t.Fatalf("Segments after Compact = %+v", segs)
 	}
 	for i, s := range collected {
@@ -330,7 +330,7 @@ func (c *streamCollector) ConsumeStamp(e event.Event, epoch int, v vclock.Vector
 // zero, epochs non-decreasing, and each stamp identical to what the final
 // materialized history records for that index.
 func TestStreamRacesCompact(t *testing.T) {
-	tr := NewTracker(WithSpill(SpillPolicy{SealEvents: 64}))
+	tr := NewTracker(WithStore(Store{Spill: SpillPolicy{SealEvents: 64}}))
 	const nWorkers, nObjects, opsPer, rounds = 8, 5, 300, 6
 	objects := make([]*Object, nObjects)
 	for i := range objects {
@@ -396,7 +396,7 @@ func TestStreamRacesCompact(t *testing.T) {
 // auto-sealing: phase 2 must pick up whatever sealed mid-stream without
 // dropping or duplicating records.
 func TestStreamWhileSealing(t *testing.T) {
-	tr := NewTracker(WithSpill(SpillPolicy{Dir: t.TempDir(), SealEvents: 32}))
+	tr := NewTracker(WithStore(Store{Spill: SpillPolicy{Dir: t.TempDir(), SealEvents: 32}}))
 	o := tr.NewObject("o")
 	done := make(chan struct{})
 	go func() {

@@ -63,7 +63,7 @@
 // record buffer stores only the event plus its arena range — O(changed
 // components) per event instead of O(k), and no allocation beyond amortized
 // buffer growth. Full vectors are materialized lazily, at the next
-// stop-the-world barrier (Snapshot, Trace, Stamps, Compact), by replaying
+// stop-the-world barrier (Snapshot, Stream, Seal, Compact), by replaying
 // each thread's deltas forward from its previous materialization — the
 // barrier already pays O(events·k) to copy stamps out, so reconstruction
 // hides there. A Stamped returned by Do carries a handle, not a vector;
@@ -75,7 +75,7 @@
 //
 // Trace recording is deferred: operations accumulate in per-thread buffers
 // and are merged (sorted by trace index) only when a snapshot is taken —
-// Trace, Stamps, Snapshot, Stream — or at sealing/compaction. Those merge
+// Snapshot, Stream, SnapshotTo — or at sealing/compaction. Those merge
 // points are stop-the-world barriers: they take the write side of the world
 // lock whose read side every commit holds (sharded per thread, see
 // world.go), quiescing all in-flight clock updates. This is what preserves
@@ -111,9 +111,9 @@
 // A segment never spans a compaction (Compact seals first, then starts the
 // new epoch), so each segment belongs to exactly one epoch; an epoch may
 // span many segments. Everything that reads history — Stream, SnapshotTo,
-// Snapshot, Trace, Stamps, lazy Stamped.Vector — replays sealed segments
-// plus the tail, in trace order, through one path; the bulk readers never
-// build a []Vector unless the caller asked for exactly that.
+// Snapshot, lazy Stamped.Vector — replays sealed segments plus the tail, in
+// trace order, through one path; the bulk readers never build a []Vector
+// unless the caller asked for exactly that.
 //
 // Seal boundaries follow the spill policy: SealEvents seals whenever that
 // many events sit unsealed, SealEvery aligns boundaries to multiples of the
@@ -124,7 +124,7 @@
 //
 // Sealed segments are managed for the rest of their lives by the lifecycle
 // manager (lifecycle.go). Tiered compaction (CompactSegments, armed
-// automatically by WithCompaction) rewrites runs of adjacent small
+// automatically by Store.Compact) rewrites runs of adjacent small
 // segments into larger ones: runs never cross an epoch boundary, a segment
 // at or above CompactPolicy.TargetBytes has graduated out of its tier, and
 // the pass triggers once more than MaxSegments segments exist. Compaction
@@ -291,8 +291,7 @@
 // harness-facing summary it reports: cumulative Events/Width/Epoch plus
 // the lifecycle counters (seals, compaction and retention passes and the
 // segments they eliminated) this package bumps on each path's success,
-// never on the commit hot path. Stats takes the same world read lock a
-// commit takes, so it must not be called from inside a Do callback.
+// never on the commit hot path.
 package track
 
 import (
@@ -317,8 +316,8 @@ import (
 // operation changed, and Vector (or any comparison helper) reconstructs the
 // full vector on first use by quiescing the tracker — the same barrier
 // Snapshot takes — then memoizes it, so later uses are free. Bulk consumers
-// should prefer one Snapshot/Stamps call over materializing stamps one by
-// one.
+// should prefer one Snapshot or Stream call over materializing stamps one
+// by one.
 type Stamped struct {
 	Event event.Event
 	Epoch int
@@ -467,7 +466,7 @@ type Tracker struct {
 	tail      []*tailBlock
 	// hist is the current sealed-history snapshot (segment list, retention
 	// floor, catalog generation) as one immutable value behind an atomic
-	// pointer. Readers — Catalog, Segments, streams, lazy stamps — load it
+	// pointer. Readers — Catalog, Stats, streams, lazy stamps — load it
 	// with no lock; writers derive a replacement through swapHist, and the
 	// superseded snapshot (plus any spill files it alone listed) is freed
 	// through the epoch-based reclaimer (epoch.go) once every reader has
@@ -1030,15 +1029,6 @@ func (t *Tracker) stampAt(idx int) vclock.Vector {
 	return v
 }
 
-// Backend returns the clock representation the tracker currently builds
-// clocks in. For trackers created WithBackend(BackendAuto) this is the
-// resolved concrete backend, which may change at a Compact.
-func (t *Tracker) Backend() vclock.Backend {
-	t.world.RLock(0)
-	defer t.world.RUnlock(0)
-	return t.backend
-}
-
 // Size returns the current vector-clock size (number of components). The
 // atomic cover pointer makes this safe — and usable from inside a Do
 // callback — even while a concurrent Compact swaps the cover.
@@ -1049,14 +1039,6 @@ func (t *Tracker) Components() []core.Component { return t.cover.Load().Componen
 
 // Events returns the number of recorded operations.
 func (t *Tracker) Events() int { return int(t.seq.Load()) }
-
-// RetainedEvents returns the retention floor: the smallest trace index whose
-// event is still replayable. Zero until a RetainPolicy pass retires
-// segments; events below the floor are gone from Stream/Snapshot output and
-// their lazy stamps materialize as nil. Lock-free — one snapshot load.
-func (t *Tracker) RetainedEvents() int {
-	return t.hist.Load().retained
-}
 
 // Threads returns the registered threads in registration order (index is
 // the dense ThreadID). After Open, this is how a resuming process reattaches
@@ -1095,25 +1077,6 @@ func (t *Tracker) Snapshot() (*event.Trace, []vclock.Vector) {
 		t.noteErr(fmt.Errorf("track: snapshot: %w", err))
 	}
 	return sink.trace, sink.stamps
-}
-
-// Trace returns a copy of the recorded computation. It streams the same
-// path as Snapshot but keeps only the events, so no stamp is ever cloned.
-func (t *Tracker) Trace() *event.Trace {
-	sink := &traceSink{trace: event.NewTrace()}
-	if err := t.Stream(sink); err != nil {
-		t.noteErr(fmt.Errorf("track: trace: %w", err))
-	}
-	return sink.trace
-}
-
-// Stamps returns a copy of the recorded timestamps, indexed by event index.
-func (t *Tracker) Stamps() []vclock.Vector {
-	sink := &stampsSink{}
-	if err := t.Stream(sink); err != nil {
-		t.noteErr(fmt.Errorf("track: stamps: %w", err))
-	}
-	return sink.stamps
 }
 
 // Err surfaces tracker failures: clock misuse (an uncovered event, which

@@ -137,7 +137,8 @@ func TestRecordedTraceIsValid(t *testing.T) {
 			if err := tr.Err(); err != nil {
 				t.Fatal(err)
 			}
-			if err := clock.Validate(tr.Trace(), tr.Stamps(), name); err != nil {
+			full, stamps := tr.Snapshot()
+			if err := clock.Validate(full, stamps, name); err != nil {
 				t.Fatal(err)
 			}
 			// Only the naive mechanism bounds the size by the thread count;
@@ -220,7 +221,8 @@ func TestNestedDo(t *testing.T) {
 	if !innerStamp.HappenedBefore(outerStamp) {
 		t.Fatalf("inner %v should precede outer %v", innerStamp.Vector(), outerStamp.Vector())
 	}
-	if err := clock.Validate(tr.Trace(), tr.Stamps(), "nested"); err != nil {
+	full, stamps := tr.Snapshot()
+	if err := clock.Validate(full, stamps, "nested"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -254,12 +256,12 @@ func TestStampsAndTraceAreCopies(t *testing.T) {
 	o := tr.NewObject("o")
 	th.Write(o, nil)
 
-	stamps := tr.Stamps()
+	_, stamps := tr.Snapshot()
 	if len(stamps) != 1 {
 		t.Fatal("missing stamp")
 	}
 	stamps[0] = stamps[0].Set(0, 99)
-	if tr.Stamps()[0].At(0) == 99 {
+	if _, again := tr.Snapshot(); again[0].At(0) == 99 {
 		t.Fatal("Stamps leaked internal storage")
 	}
 }

@@ -86,9 +86,6 @@ type (
 	// tail is sealed into immutable delta-encoded segments and where sealed
 	// segments are spilled.
 	SpillPolicy = track.SpillPolicy
-	// SegmentInfo describes one sealed segment (epoch, index range, size,
-	// spill file, content hash), as reported by Tracker.Segments.
-	SegmentInfo = track.SegmentInfo
 	// CompactPolicy is the tiered segment-compaction knob set: how many
 	// sealed segments to tolerate and the size ceiling of a merged tier.
 	CompactPolicy = track.CompactPolicy
@@ -199,7 +196,7 @@ func NewHybrid() Hybrid { return core.NewHybrid() }
 // NewTracker returns a live tracker for goroutine-level causality tracking.
 // For a durable run backed by a spill directory — crash recovery, retention,
 // a clean shutdown — use Open and Tracker.Close instead; NewTracker with
-// WithSpill remains as sugar over the same store machinery, minus recovery.
+// WithStore runs the same store machinery, minus recovery and validation.
 func NewTracker(opts ...TrackerOption) *Tracker { return track.NewTracker(opts...) }
 
 // Open opens dir as a durable run: an absent or empty directory starts a
@@ -216,35 +213,23 @@ func WithMechanism(m Mechanism) TrackerOption { return track.WithMechanism(m) }
 // WithBackend selects the tracker's clock representation (Flat or Tree).
 func WithBackend(b Backend) TrackerOption { return track.WithBackend(b) }
 
-// WithStore sets the tracker's complete storage configuration: spill,
-// compaction and retention policies in one struct. This is the canonical
-// storage option; WithSpill, WithCompaction and WithRetention are sugar over
-// its fields. Open rejects an invalid Store; NewTracker applies it as given.
+// WithStore sets the tracker's complete storage configuration, the one
+// storage option:
+//
+//   - Spill seals the merged tail into immutable delta-encoded segments
+//     (every SealEvents events, aligned to SealEvery, or after SealInterval)
+//     and, with a Dir, spills them to disk so a long-running tracker holds
+//     bounded memory. Snapshot, Stream, SnapshotTo and lazy Stamped vectors
+//     replay sealed history transparently. Open supplies Dir itself.
+//   - Compact merges adjacent small segments after any seal that leaves
+//     more than MaxSegments (never across an epoch boundary, never past
+//     TargetBytes), with replay bytes unchanged; Tracker.CompactSegments
+//     runs a pass explicitly.
+//   - Retain retires graduated segments on the seal path;
+//     Tracker.RetainSegments runs a pass explicitly.
+//
+// Open rejects an invalid Store; NewTracker applies it as given.
 func WithStore(s Store) TrackerOption { return track.WithStore(s) }
-
-// WithSpill sets the tracker's spill policy: seal the merged tail into
-// immutable delta-encoded segments every SealEvents events and, with a Dir,
-// spill sealed segments to disk so a long-running tracker holds bounded
-// memory. Sealed history is replayed transparently by Snapshot, Stream,
-// SnapshotTo and lazy Stamped vectors.
-//
-// Deprecated: prefer WithStore(Store{Spill: p}), or Open, which supplies
-// the directory itself.
-func WithSpill(p SpillPolicy) TrackerOption { return track.WithSpill(p) }
-
-// WithCompaction arms automatic tiered compaction of sealed segments: after
-// any seal that leaves more than MaxSegments segments, adjacent small
-// segments are merged (never across an epoch boundary, never past
-// TargetBytes) with replay bytes unchanged. Tracker.CompactSegments runs a
-// pass explicitly.
-//
-// Deprecated: prefer WithStore(Store{Compact: p}).
-func WithCompaction(p CompactPolicy) TrackerOption { return track.WithCompaction(p) }
-
-// WithRetention arms automatic retirement of graduated segments on the seal
-// path; Tracker.RetainSegments runs a pass explicitly. Equivalent to setting
-// Store.Retain via WithStore.
-func WithRetention(p RetainPolicy) TrackerOption { return track.WithRetention(p) }
 
 // ErrCatalogBehind is returned (wrapped) by Shipper.ConsumeUpTo when the
 // published catalog generation is still behind the requested one.

@@ -80,9 +80,9 @@ func TestFacadeTracker(t *testing.T) {
 	if err := mixedclock.Validate(trace, stamps, "tracker"); err != nil {
 		t.Fatal(err)
 	}
-	// The one-barrier Snapshot and the individual accessors must agree.
-	if trace.Len() != tracker.Trace().Len() || len(stamps) != len(tracker.Stamps()) {
-		t.Fatal("Snapshot disagrees with Trace/Stamps")
+	// The one-barrier Snapshot and the event counter must agree.
+	if trace.Len() != tracker.Events() || len(stamps) != tracker.Events() {
+		t.Fatal("Snapshot disagrees with Events")
 	}
 	// Everything funnels through one object. Popularity's tie-break picks
 	// the first thread before the object becomes popular, so the size is 2:
